@@ -127,6 +127,7 @@ type Survey struct {
 	missionUp  bool // mission uploaded and AUTO engaged for this waypoint
 	path       []geo.Position
 	pathIdx    int
+	out        string // this waypoint's output file
 	frames     int
 	completed  int // waypoints completed (saved instance state)
 }
@@ -204,6 +205,7 @@ func (s *Survey) onActive(wp geo.Waypoint) {
 	}
 	s.pathIdx = 0
 	s.missionUp = false
+	s.out = fmt.Sprintf("/data/%s/survey-%d.log", SurveyPackage, s.completed)
 }
 
 // uploadMission runs the MAVLink mission protocol against the VFC and
@@ -248,10 +250,11 @@ func (s *Survey) Tick(dt float64) {
 	path := s.path
 	useMission := s.useMission
 	missionUp := s.missionUp
+	out := s.out
 	s.mu.Unlock()
 
 	if useMission {
-		s.tickMission(path, missionUp)
+		s.tickMission(path, missionUp, out)
 		return
 	}
 	if idx >= len(path) {
@@ -266,17 +269,7 @@ func (s *Survey) Tick(dt float64) {
 		return
 	}
 	// Record a frame roughly every tick while sweeping.
-	if f, err := captureFrame(s.appClient()); err == nil {
-		s.mu.Lock()
-		s.frames++
-		n := s.frames
-		s.mu.Unlock()
-		rec := fmt.Sprintf("frame %d seq %d at %.7f,%.7f alt %.1f\n", n, f.Seq, f.Position.Lat, f.Position.Lon, f.Position.Alt)
-		if prev, err := s.ctx.VD.Container.ReadFile(s.outputPath()); err == nil {
-			rec = string(prev) + rec
-		}
-		s.ctx.VD.Container.WriteFile(s.outputPath(), []byte(rec))
-	}
+	s.recordFrame(out)
 	if geo.Distance3D(pos, target) < 3 {
 		s.mu.Lock()
 		s.pathIdx++
@@ -286,7 +279,7 @@ func (s *Survey) Tick(dt float64) {
 
 // tickMission drives the AUTO-mode variant: upload once, then record frames
 // until the vehicle reaches the final mission item.
-func (s *Survey) tickMission(path []geo.Position, missionUp bool) {
+func (s *Survey) tickMission(path []geo.Position, missionUp bool, out string) {
 	if len(path) == 0 {
 		s.finishWaypoint()
 		return
@@ -303,26 +296,25 @@ func (s *Survey) tickMission(path []geo.Position, missionUp bool) {
 	if !ok {
 		return
 	}
-	if f, err := captureFrame(s.appClient()); err == nil {
-		s.mu.Lock()
-		s.frames++
-		n := s.frames
-		s.mu.Unlock()
-		rec := fmt.Sprintf("frame %d seq %d at %.7f,%.7f alt %.1f\n", n, f.Seq, f.Position.Lat, f.Position.Lon, f.Position.Alt)
-		if prev, err := s.ctx.VD.Container.ReadFile(s.outputPath()); err == nil {
-			rec = string(prev) + rec
-		}
-		s.ctx.VD.Container.WriteFile(s.outputPath(), []byte(rec))
-	}
+	s.recordFrame(out)
 	if geo.Distance3D(pos, path[len(path)-1]) < 3 {
 		s.finishWaypoint()
 	}
 }
 
-func (s *Survey) outputPath() string {
+// recordFrame captures a frame, if the camera is granted, and appends its
+// georeferenced record to the output file.
+func (s *Survey) recordFrame(out string) {
+	f, err := captureFrame(s.appClient())
+	if err != nil {
+		return
+	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	return fmt.Sprintf("/data/%s/survey-%d.log", SurveyPackage, s.completed)
+	s.frames++
+	n := s.frames
+	s.mu.Unlock()
+	rec := fmt.Appendf(nil, "frame %d seq %d at %.7f,%.7f alt %.1f\n", n, f.Seq, f.Position.Lat, f.Position.Lon, f.Position.Alt)
+	s.ctx.VD.Container.AppendFile(out, rec)
 }
 
 func (s *Survey) finishWaypoint() {
@@ -332,7 +324,7 @@ func (s *Survey) finishWaypoint() {
 		return
 	}
 	s.active = false
-	out := fmt.Sprintf("/data/%s/survey-%d.log", SurveyPackage, s.completed)
+	out := s.out
 	s.completed++
 	s.mu.Unlock()
 	_ = s.ctx.SDK.MarkFileForUser(out)

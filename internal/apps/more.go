@@ -110,6 +110,9 @@ var _ core.Ticker = (*Photo)(nil)
 // --------------------------------------------------------------------------
 // Traffic watch app
 
+// trafficLogPath is the file TrafficWatch appends its frame records to.
+const trafficLogPath = "/data/" + TrafficWatchPackage + "/traffic.log"
+
 // TrafficWatch exercises continuous device access: it films the ground
 // between its waypoints (e.g. guided along a highway), honoring suspension
 // when other parties' waypoints are visited.
@@ -169,13 +172,11 @@ func (t *TrafficWatch) Tick(dt float64) {
 	t.frames++
 	n := t.frames
 	t.mu.Unlock()
-	rec := fmt.Sprintf("traffic frame %d at %.7f,%.7f\n", n, f.Position.Lat, f.Position.Lon)
-	path := fmt.Sprintf("/data/%s/traffic.log", TrafficWatchPackage)
-	if prev, err := t.ctx.VD.Container.ReadFile(path); err == nil {
-		rec = string(prev) + rec
+	rec := fmt.Appendf(nil, "traffic frame %d at %.7f,%.7f\n", n, f.Position.Lat, f.Position.Lon)
+	t.ctx.VD.Container.AppendFile(trafficLogPath, rec)
+	if n == 1 { // marking reads the whole file; once per instance is enough
+		_ = t.ctx.SDK.MarkFileForUser(trafficLogPath)
 	}
-	t.ctx.VD.Container.WriteFile(path, []byte(rec))
-	_ = t.ctx.SDK.MarkFileForUser(path)
 }
 
 // OnCreate implements android.Lifecycle.

@@ -317,6 +317,26 @@ func (c *Container) WriteFile(path string, data []byte) {
 	c.upper[path] = append([]byte(nil), data...)
 }
 
+// AppendFile appends data to a path in the writable layer, copying the
+// image's content up on first write. A missing or whited-out path starts
+// empty. The result is what ReadFile, concatenation and WriteFile would
+// leave, without copying the file each time.
+func (c *Container) AppendFile(path string, data []byte) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, deleted := c.upper[whiteout+path]; deleted {
+		delete(c.upper, whiteout+path)
+		c.upper[path] = append([]byte(nil), data...)
+		return
+	}
+	b, ok := c.upper[path]
+	if !ok {
+		img, _ := c.image.lookup(path)
+		b = append([]byte(nil), img...)
+	}
+	c.upper[path] = append(b, data...)
+}
+
 // RemoveFile deletes a path from the container's view. Files from the image
 // are masked with a whiteout marker.
 func (c *Container) RemoveFile(path string) error {

@@ -489,3 +489,91 @@ func TestImportRejectsCorruptArchive(t *testing.T) {
 		t.Fatalf("export missing: %v", err)
 	}
 }
+
+// rewriteAppend is the read, concatenate and rewrite sequence AppendFile
+// replaces; AppendFile must leave the same writable layer.
+func rewriteAppend(c *Container, path string, data []byte) {
+	if prev, err := c.ReadFile(path); err == nil {
+		data = append(prev, data...)
+	}
+	c.WriteFile(path, data)
+}
+
+func TestAppendFileMatchesRewrite(t *testing.T) {
+	store := NewStore()
+	img := baseImage(store)
+	rt := NewRuntime(store, 880)
+	a, _ := rt.Create("append", img.Name, Limits{MemoryMB: 185})
+	b, _ := rt.Create("rewrite", img.Name, Limits{MemoryMB: 185})
+	for _, c := range []*Container{a, b} {
+		if err := c.RemoveFile("/system/init.rc"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	same := func(step string) {
+		t.Helper()
+		if da, db := a.DiffLayer().Digest(), b.DiffLayer().Digest(); da != db {
+			t.Fatalf("%s: diff layer digest %s, rewrite gives %s", step, da[:12], db[:12])
+		}
+		for _, p := range b.ListFiles() {
+			want, _ := b.ReadFile(p)
+			if got, err := a.ReadFile(p); err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("%s: %s = %q, %v; rewrite gives %q", step, p, got, err, want)
+			}
+		}
+	}
+	appendBoth := func(path, data string) {
+		a.AppendFile(path, []byte(data))
+		rewriteAppend(b, path, []byte(data))
+	}
+
+	appendBoth("/data/new.log", "frame 1\n") // new file
+	appendBoth("/data/new.log", "frame 2\n")
+	same("new file")
+	appendBoth("/etc/hosts", "\n10.0.0.1 gcs") // copy-up from the image
+	appendBoth("/etc/hosts", "\n10.0.0.2 vdc")
+	same("image-backed file")
+	appendBoth("/system/init.rc", "fresh") // whited out: starts empty
+	same("whited-out file")
+	if got, _ := a.ReadFile("/system/init.rc"); string(got) != "fresh" {
+		t.Fatalf("append to a whited-out file kept image content: %q", got)
+	}
+
+	// The image itself is never modified.
+	other, _ := rt.Create("other", img.Name, Limits{MemoryMB: 185})
+	if got, _ := other.ReadFile("/etc/hosts"); string(got) != "127.0.0.1 localhost" {
+		t.Fatalf("append leaked into the image: %q", got)
+	}
+
+	// Appending after a checkpoint/restore round trip continues the file
+	// and leaves the checkpoint itself untouched.
+	blobA, err := a.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	blobB, err := b.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt2 := NewRuntime(store, 880)
+	if a, err = rt2.Restore(blobA); err != nil {
+		t.Fatal(err)
+	}
+	if b, err = rt2.Restore(blobB); err != nil {
+		t.Fatal(err)
+	}
+	same("restored")
+	appendBoth("/data/new.log", "frame 3\n")
+	appendBoth("/etc/hosts", "\n10.0.0.3 cloud")
+	same("append after restore")
+	if got, _ := a.ReadFile("/data/new.log"); string(got) != "frame 1\nframe 2\nframe 3\n" {
+		t.Fatalf("restored log = %q", got)
+	}
+	c3, err := NewRuntime(store, 880).Restore(blobA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := c3.ReadFile("/data/new.log"); string(got) != "frame 1\nframe 2\n" {
+		t.Fatalf("checkpoint changed by a later append: %q", got)
+	}
+}

@@ -10,8 +10,8 @@ import (
 )
 
 // TestContainerFilesystemModel model-checks the container's union
-// filesystem against a plain map: random sequences of write/remove/read
-// operations must behave identically.
+// filesystem against a plain map: random sequences of write/remove/read/
+// append operations must behave identically.
 func TestContainerFilesystemModel(t *testing.T) {
 	paths := []string{"/a", "/b", "/sys/base", "/data/x", "/data/y"}
 
@@ -31,7 +31,7 @@ func TestContainerFilesystemModel(t *testing.T) {
 
 		for i, op := range ops {
 			path := paths[int(op>>4)%len(paths)]
-			switch op % 3 {
+			switch op % 4 {
 			case 0: // write
 				content := []byte(fmt.Sprintf("v%d", i))
 				c.WriteFile(path, content)
@@ -52,6 +52,10 @@ func TestContainerFilesystemModel(t *testing.T) {
 				if existed && !bytes.Equal(got, want) {
 					return false
 				}
+			case 3: // append
+				content := []byte(fmt.Sprintf("+%d", i))
+				c.AppendFile(path, content)
+				model[path] = append(append([]byte(nil), model[path]...), content...)
 			}
 		}
 		// Final listing matches the model.
