@@ -167,6 +167,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzVFCStateMachine -fuzztime=$(FUZZTIME) ./internal/mavproxy
 	$(GO) test -run='^$$' -fuzz=FuzzQueueOps -fuzztime=$(FUZZTIME) ./internal/sched
 	$(GO) test -run='^$$' -fuzz=FuzzPlannerPlan -fuzztime=$(FUZZTIME) ./internal/planner
+	$(GO) test -run='^$$' -fuzz=FuzzCheckpointCodec -fuzztime=$(FUZZTIME) ./internal/container
 
 # Coverage ratchet: total statement coverage must not drop below the floor
 # recorded in coverage-baseline.txt. Raise the floor when coverage grows.

@@ -32,6 +32,7 @@ package binder
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -130,6 +131,9 @@ type Namespace struct {
 	// transaction fast path loads it with no lock; BecomeContextManager
 	// stores it under driver.mu.
 	mgr atomic.Pointer[Node]
+	// procs are the live processes attached here, in attach order; guarded
+	// by driver.mu. RemoveNamespace kills them.
+	procs []*Proc
 }
 
 // Name returns the namespace (container) identifier.
@@ -190,8 +194,9 @@ type Driver struct {
 }
 
 type deathLink struct {
-	node *Node
-	fn   func()
+	node    *Node
+	watcher *Proc // the process that registered the link
+	fn      func()
 }
 
 type publishedService struct {
@@ -232,13 +237,18 @@ func (d *Driver) CreateNamespace(name string) (*Namespace, error) {
 	return ns, nil
 }
 
-// RemoveNamespace tears down a container's namespace. All nodes owned by
-// processes in it become dead.
+// RemoveNamespace tears down a container's namespace. Its processes exit:
+// all nodes they own become dead and death notifications registered
+// against those nodes fire, as on Exit. The driver also forgets what the
+// rest of the system held of the namespace — death links its processes
+// registered, and handles other processes hold to its nodes — so a
+// namespace's lifetime leaves nothing behind.
 func (d *Driver) RemoveNamespace(name string) {
 	d.mu.Lock()
-	defer d.mu.Unlock()
 	cur := *d.namespaces.Load()
-	if _, ok := cur[name]; !ok {
+	ns, ok := cur[name]
+	if !ok {
+		d.mu.Unlock()
 		return
 	}
 	next := make(map[string]*Namespace, len(cur))
@@ -248,6 +258,87 @@ func (d *Driver) RemoveNamespace(name string) {
 		}
 	}
 	d.namespaces.Store(&next)
+
+	// Kill the processes, collecting the notifications to fire in attach
+	// then registration order; links from inside the namespace have no
+	// one left to notify.
+	var fire []func()
+	for _, p := range ns.procs {
+		p.dead.Store(true)
+		empty := make(map[Handle]*Node)
+		p.handles.Store(&empty)
+		for _, l := range d.deathLinks[p] {
+			if l.watcher.ns != ns {
+				fire = append(fire, l.fn)
+			}
+		}
+		delete(d.deathLinks, p)
+	}
+	ns.procs = nil
+	// Drop the links the namespace's processes registered on others.
+	for owner, links := range d.deathLinks { //vet:allow detguard per-owner filter; each key is rewritten independently
+		kept := links[:0]
+		for _, l := range links {
+			if l.watcher.ns != ns {
+				kept = append(kept, l)
+			}
+		}
+		clear(links[len(kept):])
+		if len(kept) == 0 {
+			delete(d.deathLinks, owner)
+		} else {
+			d.deathLinks[owner] = kept
+		}
+	}
+	// Drop other processes' handles to the namespace's nodes. Handles are
+	// never reused, so a stale one stays invalid (ErrBadHandle).
+	for _, other := range next { //vet:allow detguard per-process table rewrite; order-independent
+		for _, p := range other.procs {
+			p.dropHandlesLocked(ns)
+		}
+	}
+	d.mu.Unlock()
+	for _, fn := range fire {
+		fn()
+	}
+}
+
+// DeathLinks returns how many death notifications are registered across
+// the driver. Namespace churn must not grow it.
+func (d *Driver) DeathLinks() int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	n := 0
+	for _, links := range d.deathLinks {
+		n += len(links)
+	}
+	return n
+}
+
+// Handles returns the number of entries in p's handle table, not counting
+// the context manager's handle 0.
+func (p *Proc) Handles() int { return len(*p.handles.Load()) }
+
+// dropHandlesLocked removes p's handles to nodes owned in ns, publishing a
+// new snapshot only when there are any. Caller holds d.mu.
+func (p *Proc) dropHandlesLocked(ns *Namespace) {
+	cur := *p.handles.Load()
+	stale := 0
+	for _, n := range cur { //vet:allow detguard counting scan; order-independent
+		if n.ownedIn(ns) {
+			stale++
+		}
+	}
+	if stale == 0 {
+		return
+	}
+	next := make(map[Handle]*Node, len(cur)-stale)
+	for h, n := range cur { //vet:allow detguard copy-on-write map clone; order-independent
+		if !n.ownedIn(ns) {
+			next[h] = n
+		}
+	}
+	p.handles.Store(&next)
 }
 
 // SetDeviceNamespace designates ns as the device container's namespace,
@@ -293,6 +384,7 @@ func (ns *Namespace) Attach(euid int) *Proc {
 	}
 	empty := make(map[Handle]*Node)
 	p.handles.Store(&empty)
+	ns.procs = append(ns.procs, p)
 	return p
 }
 
@@ -344,6 +436,8 @@ func (p *Proc) BecomeContextManager(node *Node) error {
 
 func (n *Node) dead() bool { return n.owner == nil || n.owner.dead.Load() }
 
+func (n *Node) ownedIn(ns *Namespace) bool { return n.owner != nil && n.owner.ns == ns }
+
 // Exit detaches the process: all its nodes become dead, its handles are
 // released, and death notifications registered against its nodes fire.
 func (p *Proc) Exit() {
@@ -356,6 +450,9 @@ func (p *Proc) Exit() {
 	p.dead.Store(true)
 	empty := make(map[Handle]*Node)
 	p.handles.Store(&empty)
+	if i := slices.Index(p.ns.procs, p); i >= 0 {
+		p.ns.procs = slices.Delete(p.ns.procs, i, i+1)
+	}
 	links := d.deathLinks[p]
 	delete(d.deathLinks, p)
 	d.mu.Unlock()
@@ -375,7 +472,7 @@ func (p *Proc) LinkToDeath(h Handle, fn func()) error {
 		d.mu.Unlock()
 		return err
 	}
-	d.deathLinks[node.owner] = append(d.deathLinks[node.owner], deathLink{node: node, fn: fn})
+	d.deathLinks[node.owner] = append(d.deathLinks[node.owner], deathLink{node: node, watcher: p, fn: fn})
 	d.mu.Unlock()
 	return nil
 }

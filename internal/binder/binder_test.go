@@ -541,3 +541,76 @@ func TestTransactionSizeLimit(t *testing.T) {
 		t.Fatalf("limit-sized transaction: %v", err)
 	}
 }
+
+// TestRemoveNamespaceReleasesState: removing a namespace kills its
+// processes, fires the death links others registered on its nodes, and
+// drops both the links its own processes registered and the handles the
+// device container held to its nodes — counts return to where they were.
+func TestRemoveNamespaceReleasesState(t *testing.T) {
+	d, devMgr, devProc := setupDevcon(t)
+	sensor := echoService(devProc, "sensor")
+	if _, _, err := devProc.Transact(0, CodeAddService, []byte("sensor"), []*Node{sensor}); err != nil {
+		t.Fatal(err)
+	}
+	_, sensorHs, err := devProc.Transact(0, CodeGetService, []byte("sensor"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	links0, handles0 := d.DeathLinks(), devMgr.proc.Handles()
+
+	ns, _ := d.CreateNamespace("vd1")
+	newTestManager(t, ns)
+	amProc := ns.Attach(1000)
+	am := echoService(amProc, "activity")
+	if _, _, err := amProc.Transact(0, CodeAddService, []byte("activity"), []*Node{am}); err != nil {
+		t.Fatal(err)
+	}
+	_, hs, _ := amProc.Transact(0, CodeGetService, []byte("activity"), nil)
+	if err := amProc.PublishToDevCon("activity", hs[0]); err != nil {
+		t.Fatal(err)
+	}
+	// The device container watches vd1's ActivityManager; vd1 watches a
+	// device service.
+	_, amHs, err := devMgr.proc.Transact(0, CodeGetService, []byte(ScopedName("activity", "vd1")), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fired := 0
+	if err := devMgr.proc.LinkToDeath(amHs[0], func() { fired++ }); err != nil {
+		t.Fatal(err)
+	}
+	if err := devProc.PublishToAllNS("sensor", sensorHs[0]); err != nil {
+		t.Fatal(err)
+	}
+	_, vdSensor, err := amProc.Transact(0, CodeGetService, []byte("sensor"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := amProc.LinkToDeath(vdSensor[0], func() { t.Error("link from a removed namespace fired") }); err != nil {
+		t.Fatal(err)
+	}
+	if d.DeathLinks() == links0 || devMgr.proc.Handles() == handles0 {
+		t.Fatal("setup registered no cross-namespace state")
+	}
+
+	d.RemoveNamespace("vd1")
+	if fired != 1 {
+		t.Fatalf("death link on the removed ActivityManager fired %d times, want 1", fired)
+	}
+	if got := d.DeathLinks(); got != links0 {
+		t.Errorf("death links = %d after removal, want %d", got, links0)
+	}
+	if got := devMgr.proc.Handles(); got != handles0 {
+		t.Errorf("device manager holds %d handles after removal, want %d", got, handles0)
+	}
+	if _, err := devMgr.proc.NodeFor(amHs[0]); !errors.Is(err, ErrBadHandle) {
+		t.Errorf("stale handle resolves: %v", err)
+	}
+	if _, _, err := amProc.Transact(0, CodePing, nil, nil); !errors.Is(err, ErrDeadProc) {
+		t.Errorf("process of a removed namespace transacts: %v", err)
+	}
+	// The device container is untouched.
+	if _, _, err := devProc.Transact(sensorHs[0], CodeUser, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+}

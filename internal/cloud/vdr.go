@@ -2,7 +2,6 @@ package cloud
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
@@ -116,36 +115,18 @@ type layerPayload struct {
 	data []byte
 }
 
-// splitUpper partitions a checkpoint's writable layer: /data/ paths except
-// the flight-progress file form the app-set layer, the rest the state
-// layer. Keys are walked in sorted order so the split is deterministic.
-func splitUpper(upper map[string][]byte) (appset, state map[string][]byte) {
-	appset = make(map[string][]byte)
-	state = make(map[string][]byte)
-	paths := make([]string, 0, len(upper))
-	for p := range upper {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	for _, p := range paths {
-		if p != FlightProgressPath && strings.HasPrefix(p, "/data/") {
-			appset[p] = upper[p]
-		} else {
-			state[p] = upper[p]
-		}
-	}
-	return appset, state
+// inAppSet reports whether an upper path belongs to the app-set layer:
+// /data/ paths except the flight-progress file. Everything else is state.
+func inAppSet(path string) bool {
+	return path != FlightProgressPath && strings.HasPrefix(path, "/data/")
 }
 
-// baseLayer is the shared part of every checkpoint on the same image.
-type baseLayer struct {
-	Image  string           `json:"image"`
-	Limits container.Limits `json:"limits"`
-}
-
-// buildLayers decomposes an entry. The checkpoint splits into
-// base/appset/state only when the decomposition provably reassembles to the
-// original bytes; otherwise it is stored as one opaque layer.
+// buildLayers decomposes an entry. A canonical checkpoint is cut at its
+// record boundaries: the base layer is its `{"image":…,"limits":{…}}`
+// and each upper layer is `{` + the records routed to it + `}`, which is
+// json.Marshal of that sub-map; no file content is decoded. The split is
+// kept only when it provably reassembles to the original bytes; anything
+// else (non-canonical JSON, a null upper) is stored as one opaque layer.
 func buildLayers(e VDREntry) (layers []layerPayload, containerName string) {
 	if len(e.Definition) > 0 {
 		layers = append(layers, layerPayload{LayerDefinition, e.Definition})
@@ -153,58 +134,57 @@ func buildLayers(e VDREntry) (layers []layerPayload, containerName string) {
 	if len(e.Checkpoint) == 0 {
 		return layers, ""
 	}
-	var cp container.Checkpoint
-	if err := json.Unmarshal(e.Checkpoint, &cp); err == nil {
-		appset, state := splitUpper(cp.Upper)
-		base, berr := json.Marshal(baseLayer{Image: cp.ImageName, Limits: cp.Limits})
-		appsetJSON, aerr := json.Marshal(appset)
-		stateJSON, serr := json.Marshal(state)
-		if berr == nil && aerr == nil && serr == nil {
-			rebuilt, rerr := assembleCheckpoint(cp.Name, base, appsetJSON, stateJSON)
-			if rerr == nil && bytes.Equal(rebuilt, e.Checkpoint) {
-				split := layers
-				split = append(split, layerPayload{LayerBase, base})
-				if len(appset) > 0 {
-					split = append(split, layerPayload{LayerAppSet, appsetJSON})
-				}
-				if len(state) > 0 {
-					split = append(split, layerPayload{LayerState, stateJSON})
-				}
-				return split, cp.Name
+	if cr, err := container.ScanCheckpoint(e.Checkpoint); err == nil {
+		var appset, state []container.FileRecord
+		for _, r := range cr.Files {
+			if inAppSet(r.Path) {
+				appset = append(appset, r)
+			} else {
+				state = append(state, r)
 			}
+		}
+		base := append(append([]byte{'{'}, cr.Head...), '}')
+		appsetJSON := container.AppendFiles(nil, appset)
+		stateJSON := container.AppendFiles(nil, state)
+		rebuilt, rerr := assembleCheckpoint(cr.Name, base, appsetJSON, stateJSON)
+		if rerr == nil && bytes.Equal(rebuilt, e.Checkpoint) {
+			split := layers
+			split = append(split, layerPayload{LayerBase, base})
+			if len(appset) > 0 {
+				split = append(split, layerPayload{LayerAppSet, appsetJSON})
+			}
+			if len(state) > 0 {
+				split = append(split, layerPayload{LayerState, stateJSON})
+			}
+			return split, cr.Name
 		}
 	}
 	return append(layers, layerPayload{LayerOpaque, e.Checkpoint}), ""
 }
 
 // assembleCheckpoint is the inverse of buildLayers' split: canonical
-// container.Checkpoint JSON from the base layer plus merged upper maps.
+// container checkpoint JSON from the base layer plus the upper layers'
+// records merged in path order.
 func assembleCheckpoint(name string, base, appsetJSON, stateJSON []byte) ([]byte, error) {
-	var b baseLayer
-	if err := json.Unmarshal(base, &b); err != nil {
-		return nil, fmt.Errorf("%w: base layer: %v", ErrLayerCorrupt, err)
+	if len(base) < 2 || base[0] != '{' || base[len(base)-1] != '}' {
+		return nil, fmt.Errorf("%w: base layer is not an object", ErrLayerCorrupt)
 	}
-	upper := make(map[string][]byte)
+	var parts [][]container.FileRecord
 	for _, part := range [][]byte{appsetJSON, stateJSON} {
 		if part == nil {
 			continue
 		}
-		var m map[string][]byte
-		if err := json.Unmarshal(part, &m); err != nil {
+		recs, err := container.ScanFiles(part)
+		if err != nil {
 			return nil, fmt.Errorf("%w: upper layer: %v", ErrLayerCorrupt, err)
 		}
-		paths := make([]string, 0, len(m))
-		for p := range m {
-			paths = append(paths, p)
-		}
-		sort.Strings(paths)
-		for _, p := range paths {
-			upper[p] = m[p]
-		}
+		parts = append(parts, recs)
 	}
-	return json.Marshal(container.Checkpoint{
-		Name: name, ImageName: b.Image, Limits: b.Limits, Upper: upper,
-	})
+	cp, err := container.AssembleCheckpoint(name, base[1:len(base)-1], parts...)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrLayerCorrupt, err)
+	}
+	return cp, nil
 }
 
 // Save stores or updates a virtual drone entry, deduplicating its layers

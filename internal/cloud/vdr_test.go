@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -88,17 +89,15 @@ func TestVDRLayeredRoundTrip(t *testing.T) {
 
 	// The split rule: app files live in the appset layer, the per-flight
 	// progress file and outputs in the state layer.
-	appset, state := splitUpper(map[string][]byte{
-		"/data/app/x":        []byte("a"),
-		FlightProgressPath:   []byte("p"),
-		"/out/result":        []byte("o"),
-		"/data/data/x/prefs": []byte("s"),
-	})
-	if len(appset) != 2 || len(state) != 2 {
-		t.Fatalf("split: appset %v state %v", appset, state)
-	}
-	if _, inApp := appset[FlightProgressPath]; inApp {
-		t.Fatal("progress file leaked into the stable appset layer")
+	for path, app := range map[string]bool{
+		"/data/app/x":        true,
+		FlightProgressPath:   false,
+		"/out/result":        false,
+		"/data/data/x/prefs": true,
+	} {
+		if inAppSet(path) != app {
+			t.Fatalf("inAppSet(%q) = %v, want %v", path, !app, app)
+		}
 	}
 }
 
@@ -268,4 +267,139 @@ func TestVDRDeleteReleasesLayers(t *testing.T) {
 		t.Fatalf("deleted entry's layer refs = %d, %v; want retained at 0", refs, ok)
 	}
 	v.Delete("gone") // idempotent
+}
+
+// layerBytes returns the stored bytes of m's layer of the given kind.
+func layerBytes(t *testing.T, v *VDR, m Manifest, kind string) []byte {
+	t.Helper()
+	for _, l := range m.Layers {
+		if l.Kind == kind {
+			b, err := v.Store().Get(l.Digest)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return b
+		}
+	}
+	t.Fatalf("no %s layer in %v", kind, layerKinds(m))
+	return nil
+}
+
+// TestVDRLayersAreMarshalledSubmaps pins the layer format: spliced at
+// record level, each layer is still byte for byte what json.Marshal
+// writes for its part, so digests and dedup match a reflection split.
+func TestVDRLayersAreMarshalledSubmaps(t *testing.T) {
+	v := NewVDR()
+	upper := map[string][]byte{
+		"/data/app/com.androne.photo/code": []byte("apk"),
+		"/data/<odd>&\"path\"":             {},
+		FlightProgressPath:                 []byte(`{"waypoint":1}`),
+		"/.wh./etc/hosts":                  nil,
+		"/sdcard/frame":                    {0xFF, 0x00, 0x7F},
+	}
+	cp := canonicalCheckpoint(t, "split", upper)
+	if err := v.Save(VDREntry{Name: "split", Owner: "o", Checkpoint: cp}); err != nil {
+		t.Fatal(err)
+	}
+	m, err := v.Manifest("split")
+	if err != nil {
+		t.Fatal(err)
+	}
+	appset, state := map[string][]byte{}, map[string][]byte{}
+	for p, b := range upper {
+		if inAppSet(p) {
+			appset[p] = b
+		} else {
+			state[p] = b
+		}
+	}
+	base, _ := json.Marshal(struct {
+		Image  string           `json:"image"`
+		Limits container.Limits `json:"limits"`
+	}{"androne/minimal-android", container.Limits{MemoryMB: 512, CPUShares: 1024}})
+	wantApp, _ := json.Marshal(appset)
+	wantState, _ := json.Marshal(state)
+	for kind, want := range map[string][]byte{LayerBase: base, LayerAppSet: wantApp, LayerState: wantState} {
+		if got := layerBytes(t, v, m, kind); !bytes.Equal(got, want) {
+			t.Errorf("%s layer:\n got %s\nwant %s", kind, got, want)
+		}
+	}
+}
+
+// TestVDRNonCanonicalFallsBackOpaque: valid JSON checkpoints that are not
+// in the canonical form take the opaque layer and load back bit-identical.
+// The container runtime refuses to restore them.
+func TestVDRNonCanonicalFallsBackOpaque(t *testing.T) {
+	cp := container.Checkpoint{Name: "vd", ImageName: "img", Limits: container.Limits{MemoryMB: 1},
+		Upper: map[string][]byte{"/data/a": []byte("x"), "/out/b": []byte("y")}}
+	indented, err := json.MarshalIndent(cp, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const tail = `"limits":{"MemoryMB":1,"CPUShares":0}`
+	docs := map[string][]byte{
+		"whitespace":     indented,
+		"reordered keys": []byte(`{"image":"img","name":"vd",` + tail + `,"upper":{"/data/a":"eA==","/out/b":"eQ=="}}`),
+		"duplicate path": []byte(`{"name":"vd","image":"img",` + tail + `,"upper":{"/data/a":"eA==","/data/a":"eQ=="}}`),
+		"null upper":     []byte(`{"name":"vd","image":"img",` + tail + `,"upper":null}`),
+	}
+	for name, doc := range docs {
+		if !json.Valid(doc) {
+			t.Fatalf("%s: fixture is not valid JSON", name)
+		}
+		v := NewVDR()
+		if err := v.Save(VDREntry{Name: "vd", Owner: "o", Definition: []byte(`{}`), Checkpoint: doc}); err != nil {
+			t.Fatal(err)
+		}
+		m, _ := v.Manifest("vd")
+		if kinds := layerKinds(m); len(kinds) != 2 || kinds[1] != LayerOpaque || m.ContainerName != "" {
+			t.Errorf("%s: layers %v, container name %q; want definition + opaque", name, kinds, m.ContainerName)
+		}
+		got, err := v.Load("vd")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Checkpoint, doc) {
+			t.Errorf("%s: opaque checkpoint did not round-trip", name)
+		}
+		if name == "null upper" {
+			continue // canonical, just not splittable
+		}
+		if _, err := container.NewRuntime(container.NewStore(), 100).Restore(doc); !errors.Is(err, container.ErrNotCanonical) {
+			t.Errorf("%s: Restore err = %v, want ErrNotCanonical", name, err)
+		}
+	}
+}
+
+// BenchmarkVDRCycle is one Save and Load of a 1 MiB container state with
+// one of its 16 files rewritten since the previous save, as in the
+// vdr-churn workload; throughput is in checkpoint bytes.
+func BenchmarkVDRCycle(b *testing.B) {
+	upper := map[string][]byte{FlightProgressPath: []byte(`{"started":true}`)}
+	for k := 0; k < 16; k++ {
+		upper[fmt.Sprintf("/sdcard/frames/slot-%02d", k)] = bytes.Repeat([]byte{byte(k)}, 64<<10)
+	}
+	gens := make([][]byte, 2)
+	for g := range gens {
+		upper["/sdcard/frames/slot-00"] = bytes.Repeat([]byte{byte(0x80 + g)}, 64<<10)
+		cp, err := json.Marshal(container.Checkpoint{Name: "vd", ImageName: "img",
+			Limits: container.Limits{MemoryMB: 185}, Upper: upper})
+		if err != nil {
+			b.Fatal(err)
+		}
+		gens[g] = cp
+	}
+	v := NewVDR()
+	def := []byte(`{"name":"vd"}`)
+	b.SetBytes(int64(len(gens[0])))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := v.Save(VDREntry{Name: "vd", Owner: "o", Definition: def, Checkpoint: gens[i%2]}); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := v.Load("vd"); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

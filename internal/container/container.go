@@ -411,21 +411,14 @@ type Checkpoint struct {
 	Upper     map[string][]byte `json:"upper"`
 }
 
-// Checkpoint serializes the container's state. The container may be in any
-// state; AnDrone checkpoints stopped virtual drones at flight end.
+// Checkpoint serializes the container's state: the bytes json.Marshal
+// writes for its Checkpoint, encoded in one pass under the container's
+// lock. The container may be in any state; AnDrone checkpoints stopped
+// virtual drones at flight end.
 func (c *Container) Checkpoint() ([]byte, error) {
 	c.mu.Lock()
-	upper := make(map[string][]byte, len(c.upper))
-	for p, b := range c.upper { //vet:allow detguard checkpoint copy; JSON encoding sorts map keys
-		upper[p] = append([]byte(nil), b...)
-	}
-	c.mu.Unlock()
-	return json.Marshal(Checkpoint{
-		Name:      c.name,
-		ImageName: c.image.Name,
-		Limits:    c.limits,
-		Upper:     upper,
-	})
+	defer c.mu.Unlock()
+	return appendCheckpoint(nil, c.name, c.image.Name, c.limits, c.upper, sortedPaths(c.upper)), nil
 }
 
 // Runtime manages containers against a fixed memory budget, mirroring the
@@ -489,20 +482,23 @@ func (rt *Runtime) Create(name, imageName string, limits Limits) (*Container, er
 }
 
 // Restore reinstates a checkpointed container: same image, same diff layer.
+// data must be canonical, as Checkpoint writes it; any other JSON form,
+// even one encoding/json would accept, fails with ErrNotCanonical.
 func (rt *Runtime) Restore(data []byte) (*Container, error) {
-	var cp Checkpoint
-	if err := json.Unmarshal(data, &cp); err != nil {
+	cp, err := decodeCheckpoint(data)
+	if err != nil {
 		return nil, fmt.Errorf("container: bad checkpoint: %w", err)
 	}
 	c, err := rt.Create(cp.Name, cp.ImageName, cp.Limits)
 	if err != nil {
 		return nil, err
 	}
-	c.mu.Lock()
-	for p, b := range cp.Upper { //vet:allow detguard restore copy; per-key writes are order-independent
-		c.upper[p] = append([]byte(nil), b...)
+	if cp.Upper != nil {
+		// The decoded files are fresh allocations: the container owns them.
+		c.mu.Lock()
+		c.upper = cp.Upper
+		c.mu.Unlock()
 	}
-	c.mu.Unlock()
 	return c, nil
 }
 

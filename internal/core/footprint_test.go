@@ -53,3 +53,51 @@ func TestHoverFootprintBounded(t *testing.T) {
 			growth, hoverS, 10*hoverS, footprintSlackBytes)
 	}
 }
+
+// TestRestoreChurnFootprintBounded is the same contract for the VDR
+// lifecycle: a virtual drone saved and restored over and over on one drone
+// must leave nothing behind per cycle. The dead namespace's death links
+// and the device container ServiceManager's handles to each generation's
+// ActivityManager must be released, so their counts and the retained heap
+// stay flat from 1x to 10x the cycles.
+func TestRestoreChurnFootprintBounded(t *testing.T) {
+	d := newTestDrone(t)
+	const name = "churn"
+	if _, err := d.VDC.Create(defWith(name, 2)); err != nil {
+		t.Fatal(err)
+	}
+	sm := d.DevCon.Instance().ServiceManager().Proc()
+	cycle := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			entry, err := d.VDC.Save(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := d.VDC.Restore(entry); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// Enough cycles for the flight recorder's bounded structures — its
+	// 64-dump archive (one dump per save) and the event rings each dump
+	// snapshots — to fill before the first measurement.
+	const cycles = 400
+	cycle(cycles)
+	h1, links1, handles1 := retainedHeap(), d.Driver.DeathLinks(), sm.Handles()
+	cycle(9 * cycles)
+	h10, links10, handles10 := retainedHeap(), d.Driver.DeathLinks(), sm.Handles()
+	runtime.KeepAlive(d)
+	growth := int64(h10) - int64(h1)
+	t.Logf("after %d and %d cycles: retained heap %d -> %d B (%+d B), death links %d -> %d, devcon handles %d -> %d",
+		cycles, 10*cycles, h1, h10, growth, links1, links10, handles1, handles10)
+	if links10 != links1 {
+		t.Errorf("death links grew from %d to %d over %d cycles", links1, links10, 9*cycles)
+	}
+	if handles10 != handles1 {
+		t.Errorf("device container ServiceManager handles grew from %d to %d over %d cycles", handles1, handles10, 9*cycles)
+	}
+	if growth > footprintSlackBytes {
+		t.Errorf("retained heap grew %d B over %d cycles, over the %d B slack", growth, 9*cycles, footprintSlackBytes)
+	}
+}

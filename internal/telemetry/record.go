@@ -59,7 +59,11 @@ func (r *Recorder) Dump(drone Key, trigger string, meta map[string]float64) Flig
 	r.rmu.Lock()
 	r.records = append(r.records, rec)
 	if len(r.records) > maxRecords {
-		r.records = r.records[len(r.records)-maxRecords:]
+		// Shift in place rather than reslice: a resliced window would keep
+		// the records before it reachable through the backing array.
+		n := copy(r.records, r.records[len(r.records)-maxRecords:])
+		clear(r.records[n:])
+		r.records = r.records[:n]
 	}
 	r.rmu.Unlock()
 	mDumps.Inc()
