@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -42,6 +43,14 @@ func TestPlannerPipeline(t *testing.T) {
 	}
 	if !doc.Restart.BitIdentical {
 		t.Fatal("restart leg not bit-identical")
+	}
+	// The restart row claims a speedup only when the pool fits the host.
+	rst := doc.Restart
+	if doc.Host.NumCPU != runtime.NumCPU() || rst.Oversubscribed != (rst.Workers > doc.Host.NumCPU) {
+		t.Fatalf("restart row %+v wrong for host %+v", rst, doc.Host)
+	}
+	if (rst.Speedup != 0) == rst.Oversubscribed {
+		t.Fatalf("restart row speedup %.2f with oversubscribed=%v", rst.Speedup, rst.Oversubscribed)
 	}
 	if !doc.Campaign.SabotageTripped {
 		t.Fatal("sabotage control did not trip")

@@ -50,8 +50,8 @@ func Distance(a, b LatLon) float64 {
 	la1, la2 := deg2rad(a.Lat), deg2rad(b.Lat)
 	dLat := deg2rad(b.Lat - a.Lat)
 	dLon := deg2rad(b.Lon - a.Lon)
-	s := math.Sin(dLat/2)*math.Sin(dLat/2) +
-		math.Cos(la1)*math.Cos(la2)*math.Sin(dLon/2)*math.Sin(dLon/2)
+	sLat, sLon := math.Sin(dLat/2), math.Sin(dLon/2)
+	s := sLat*sLat + math.Cos(la1)*math.Cos(la2)*sLon*sLon
 	return 2 * EarthRadius * math.Asin(math.Min(1, math.Sqrt(s)))
 }
 

@@ -2,6 +2,7 @@ package geo
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -317,4 +318,51 @@ func clampLL(p LatLon) LatLon {
 		lon = 0
 	}
 	return LatLon{Lat: lat, Lon: lon}
+}
+
+// distanceRef is Distance as it was before each sine was computed once:
+// four math.Sin calls. Distance must reproduce it bit for bit, since it
+// feeds plan costs and geofence checks that trace hashes cover. clamped
+// reports whether math.Min cut the haversine root down to 1.
+func distanceRef(a, b LatLon) (d float64, clamped bool) {
+	la1, la2 := deg2rad(a.Lat), deg2rad(b.Lat)
+	dLat := deg2rad(b.Lat - a.Lat)
+	dLon := deg2rad(b.Lon - a.Lon)
+	s := math.Sin(dLat/2)*math.Sin(dLat/2) +
+		math.Cos(la1)*math.Cos(la2)*math.Sin(dLon/2)*math.Sin(dLon/2)
+	return 2 * EarthRadius * math.Asin(math.Min(1, math.Sqrt(s))), math.Sqrt(s) > 1
+}
+
+func TestDistanceMatchesFourSineReference(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	randLL := func() LatLon { return LatLon{Lat: r.Float64()*180 - 90, Lon: r.Float64()*360 - 180} }
+	var pairs [][2]LatLon
+	for i := 0; i < 2000; i++ {
+		a := randLL()
+		// Drone-scale legs: up to a few km.
+		pairs = append(pairs, [2]LatLon{a, OffsetNE(a, r.Float64()*4000-2000, r.Float64()*4000-2000)})
+		// Long legs anywhere on the sphere.
+		pairs = append(pairs, [2]LatLon{a, randLL()})
+		// Identical points.
+		pairs = append(pairs, [2]LatLon{a, a})
+		// Near-antipodal points, where rounding can push the haversine
+		// above 1 and math.Min clamps it.
+		anti := LatLon{Lat: -a.Lat + (r.Float64()-0.5)*1e-9, Lon: math.Mod(a.Lon+360, 360) - 180 + (r.Float64()-0.5)*1e-9}
+		pairs = append(pairs, [2]LatLon{a, anti})
+	}
+	clamped := 0
+	for _, p := range pairs {
+		a, b := p[0], p[1]
+		want, clamp := distanceRef(a, b)
+		if got := Distance(a, b); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("Distance(%v, %v) = %v, four-sine reference %v", a, b, got, want)
+		}
+		if clamp {
+			clamped++
+		}
+	}
+	if clamped == 0 {
+		t.Fatal("no near-antipodal pair reached the math.Min clamp")
+	}
+	t.Logf("%d pairs, %d clamped", len(pairs), clamped)
 }

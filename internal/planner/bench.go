@@ -39,9 +39,10 @@ func (cfg Config) KernelAnneal(tasks []Task) int64 {
 
 // KernelParity drives `moves` kernel moves (unconditionally accepted, so
 // the tour wanders far from the seed) and after every move compares the
-// incrementally-maintained cost against the naive from-scratch kernel.
-// Returns the number of moves checked; a non-nil error reports the first
-// bit-level mismatch.
+// incrementally-maintained cost against the naive from-scratch kernel and
+// every node's successor-edge cache against the leg table. Returns the
+// number of moves checked; a non-nil error reports the first bit-level
+// mismatch.
 func (cfg Config) KernelParity(tasks []Task, moves int) (int, error) {
 	ordered := orderedSet(tasks)
 	cfg.ordered = ordered
@@ -55,11 +56,17 @@ func (cfg Config) KernelParity(tasks []Task, moves int) (int, error) {
 	if got, want := k.cost(), k.recompute(); got != want {
 		return 0, fmt.Errorf("planner: seed cost mismatch: incremental %d, naive %d", got, want)
 	}
+	if err := k.checkSucc(); err != nil {
+		return 0, fmt.Errorf("planner: after seed load: %w", err)
+	}
 	r := newRNG(cfg.Seed + "/parity")
 	for i := 0; i < moves; i++ {
 		k.apply(k.randomMove(r))
 		if got, want := k.cost(), k.recompute(); got != want {
 			return i, fmt.Errorf("planner: cost mismatch after move %d: incremental %d, naive %d", i, got, want)
+		}
+		if err := k.checkSucc(); err != nil {
+			return i, fmt.Errorf("planner: after move %d: %w", i, err)
 		}
 	}
 	return moves, nil

@@ -8,15 +8,16 @@
 // Routes live in one doubly-linked list per fleet drone: nodes 0..n-1 are
 // stops, nodes n..n+R-1 are route sentinels (base). A swap or relocate move
 // touches at most eight legs, so evaluation is O(1) leg-delta arithmetic
-// over the lazy leg table, and a rejected move is undone in place. The warm
-// move loop (step) performs no allocation and takes no locks.
+// over the lazy leg table, and a rejected move is undone in place. Each
+// node also caches the integer cost of its successor edge, so a move looks
+// up only the legs it creates. The warm move loop (step) performs no
+// allocation and takes no locks.
 
 package planner
 
 import (
+	"fmt"
 	"math"
-
-	"androne/internal/geo"
 )
 
 const (
@@ -32,9 +33,10 @@ const (
 
 func toUnits(x float64) int64 { return int64(x*unitScale + 0.5) }
 
-// problem is the immutable planning instance shared by all restart chains:
-// stop metadata flattened into dense arrays, integer dwell costs, and the
-// lazily-filled leg table factory inputs.
+// problem is the planning instance shared by all restart chains: stop
+// metadata flattened into dense arrays, integer dwell costs, and the plan's
+// one lazily-filled leg table (the only part that changes, and only from
+// unset to the one value a pair can hold).
 type problem struct {
 	stops   []Stop
 	n       int // stop count; node ids n..n+nRoutes-1 are route sentinels
@@ -52,14 +54,15 @@ type problem struct {
 	budget     int64   // per-flight energy budget, units
 	cap        int32   // MaxTasksPerRoute (0 = unlimited)
 	anyOrdered bool
-	base       geo.Position
+	legs       *legTable
 }
 
 // newProblem flattens the stops into the kernel's dense representation.
 func (cfg *Config) newProblem(stops []Stop, ordered map[string]bool) *problem {
 	n := len(stops)
 	p := &problem{
-		stops: stops, n: n, nRoutes: cfg.FleetSize, base: cfg.Base,
+		stops: stops, n: n, nRoutes: cfg.FleetSize,
+		legs:     newLegTable(stops, cfg.Base),
 		task:     make([]int32, n),
 		wpIdx:    make([]int32, n),
 		dwellDur: make([]int64, n),
@@ -90,8 +93,8 @@ func (cfg *Config) newProblem(stops []Stop, ordered map[string]bool) *problem {
 }
 
 // kernel is one chain's mutable annealing state. A kernel is confined to a
-// single worker goroutine; workers reuse one kernel (and its leg table)
-// across the restarts they execute.
+// single worker goroutine; workers reuse one kernel across the restarts
+// they execute.
 type kernel struct {
 	p      *problem
 	legs   *legTable
@@ -99,6 +102,7 @@ type kernel struct {
 
 	next, prev []int32 // doubly-linked tour per route
 	routeOf    []int32 // node -> route index
+	nD, nE     []int64 // node x -> leg(x, next[x]) units, kept by load/unlink/insertAfter
 
 	// Incremental aggregates. durTot/batPen are sums over routes; the
 	// violation counters weight into the cost via orderPenaltyUnits.
@@ -120,14 +124,15 @@ type kernel struct {
 func newKernel(p *problem) *kernel {
 	nn := p.n + p.nRoutes
 	return &kernel{
-		p: p, legs: newLegTable(p.stops, p.base), nNodes: nn,
+		p: p, legs: p.legs.worker(), nNodes: nn,
 		next: make([]int32, nn), prev: make([]int32, nn),
+		nD: make([]int64, nn), nE: make([]int64, nn),
 		routeOf:  make([]int32, nn),
 		routeDur: make([]int64, p.nRoutes), routeEn: make([]int64, p.nRoutes),
-		trc:      make([]int32, p.nTasks*p.nRoutes),
-		distinct: make([]int32, p.nRoutes),
+		trc:        make([]int32, p.nTasks*p.nRoutes),
+		distinct:   make([]int32, p.nRoutes),
 		taskRoutes: make([]int32, p.nTasks),
-		bestNext: make([]int32, nn),
+		bestNext:   make([]int32, nn),
 	}
 }
 
@@ -203,6 +208,7 @@ func (k *kernel) load(routes [][]int32) {
 		var dur, en int64
 		for x := k.next[s]; x != s; x = k.next[x] {
 			d, e := k.leg(k.prev[x], x)
+			k.nD[k.prev[x]], k.nE[k.prev[x]] = d, e
 			dur += d + p.dwellDur[x]
 			en += e + p.dwellEn[x]
 			t := p.task[x]
@@ -219,6 +225,7 @@ func (k *kernel) load(routes [][]int32) {
 			}
 		}
 		d, e := k.leg(k.prev[s], s)
+		k.nD[k.prev[s]], k.nE[k.prev[s]] = d, e
 		dur += d
 		en += e
 		k.routeDur[r], k.routeEn[r] = dur, en
@@ -243,11 +250,10 @@ func (k *kernel) unlink(x int32) {
 	p := k.p
 	a, b := k.prev[x], k.next[x]
 	r := k.routeOf[x]
-	axD, axE := k.leg(a, x)
-	xbD, xbE := k.leg(x, b)
 	abD, abE := k.leg(a, b)
-	dDur := abD - axD - xbD - p.dwellDur[x]
-	dEn := abE - axE - xbE - p.dwellEn[x]
+	dDur := abD - k.nD[a] - k.nD[x] - p.dwellDur[x]
+	dEn := abE - k.nE[a] - k.nE[x] - p.dwellEn[x]
+	k.nD[a], k.nE[a] = abD, abE
 	k.routeDur[r] += dDur
 	k.durTot += dDur
 	oldEn := k.routeEn[r]
@@ -290,9 +296,10 @@ func (k *kernel) insertAfter(x, at int32) {
 	r := k.routeOf[at]
 	axD, axE := k.leg(at, x)
 	xbD, xbE := k.leg(x, b)
-	abD, abE := k.leg(at, b)
-	dDur := axD + xbD - abD + p.dwellDur[x]
-	dEn := axE + xbE - abE + p.dwellEn[x]
+	dDur := axD + xbD - k.nD[at] + p.dwellDur[x]
+	dEn := axE + xbE - k.nE[at] + p.dwellEn[x]
+	k.nD[at], k.nE[at] = axD, axE
+	k.nD[x], k.nE[x] = xbD, xbE
 	k.routeDur[r] += dDur
 	k.durTot += dDur
 	oldEn := k.routeEn[r]
@@ -498,6 +505,20 @@ func (k *kernel) recompute() int64 {
 		}
 	}
 	return durTot + batPen + (adjViol+splitViol+capOver)*orderPenaltyUnits
+}
+
+// checkSucc verifies the successor-edge cache against the leg table: every
+// node's nD/nE must equal leg(x, next[x]). The parity gates call it next to
+// recompute.
+func (k *kernel) checkSucc() error {
+	for x := int32(0); int(x) < k.nNodes; x++ {
+		d, e := k.leg(x, k.next[x])
+		if k.nD[x] != d || k.nE[x] != e {
+			return fmt.Errorf("successor cache of node %d -> %d holds (%d, %d), table (%d, %d)",
+				x, k.next[x], k.nD[x], k.nE[x], d, e)
+		}
+	}
+	return nil
 }
 
 // extractRoutes materializes the tour into per-route stop slices.

@@ -73,20 +73,26 @@ func TestKernelParityRandomMoves(t *testing.T) {
 
 func TestKernelApplyUndoExact(t *testing.T) {
 	// A rejected move must leave every aggregate exactly as it was: apply
-	// followed by undo restores the cost bit-for-bit (and the naive
-	// recomputation agrees).
+	// followed by undo restores the cost and both successor-edge caches
+	// bit-for-bit (and the naive recomputation agrees).
 	cfg := DefaultConfig(base)
 	cfg.FleetSize = 3
 	cfg.MaxTasksPerRoute = 3
 	tasks := genTasks(newRNG("undo"), 24, 3, 0.4)
 	_, k := loadKernel(cfg, tasks)
 	r := newRNG("undo/moves")
+	nD, nE := make([]int64, k.nNodes), make([]int64, k.nNodes)
 	for i := 0; i < 3000; i++ {
 		before := k.cost()
+		copy(nD, k.nD)
+		copy(nE, k.nE)
 		m := k.apply(k.randomMove(r))
 		k.undo(m)
 		if after := k.cost(); after != before {
 			t.Fatalf("move %d: cost %d -> %d after apply+undo", i, before, after)
+		}
+		if !reflect.DeepEqual(nD, k.nD) || !reflect.DeepEqual(nE, k.nE) {
+			t.Fatalf("move %d: successor cache not restored by apply+undo", i)
 		}
 		// Drift the state with an accepted move so undo is exercised from
 		// many configurations.

@@ -1,6 +1,9 @@
 package planner
 
 import (
+	"math"
+	"sync/atomic"
+
 	"androne/internal/geo"
 )
 
@@ -13,25 +16,34 @@ import (
 // The cache is a performance device only: Distance3D is a pure function of
 // the two positions, so a hit and a miss yield the bit-identical float64 —
 // cache layout, eviction, and sharing can never change a plan.
+//
+// One table serves a whole plan. Up to legDenseBytes it is a packed upper
+// triangle of float64 bits that every restart worker reads and fills at
+// once, lock-free: a slot is loaded and stored atomically, and two workers
+// racing on a pair store the same bits. Above legDenseBytes each worker
+// gets its own fixed-size
+// open-addressing probe table over the shared positions (worker), so the
+// probe table needs no synchronization.
 type legTable struct {
 	n   int            // base id; valid ids are 0..n
 	pos []geo.Position // id -> position (pos[n] = base)
 
-	// Small instances use a dense (n+1)² matrix with 0 as the "unset"
+	// tri is the packed upper triangle, slot j*(j+1)/2 + i for i < j,
+	// holding math.Float64bits of the distance with 0 as the "unset"
 	// sentinel. A genuinely zero distance (two stops at the same position)
 	// is simply recomputed on every lookup, which stays correct.
-	dense []float64
+	tri []atomic.Uint64
 
-	// Larger instances use a fixed-size open-addressing table; on probe
-	// overflow the distance is recomputed without caching.
+	// Above legDenseBytes, the worker's own fixed-size open-addressing
+	// table; on probe overflow the distance is recomputed without caching.
 	keys []int64
 	vals []float64
 	mask int
 }
 
 const (
-	// legDenseLimit bounds the dense matrix: (1024)² float64s is 8 MiB.
-	legDenseLimit = 1024
+	// legDenseBytes bounds the triangle at 8 MiB, about 1,447 nodes.
+	legDenseBytes = 8 << 20
 	// legProbeMax bounds open-addressing probes before falling back to a
 	// direct computation.
 	legProbeMax = 16
@@ -39,6 +51,12 @@ const (
 	legProbeEntries = 1 << 20
 )
 
+// triSlots is the packed triangle length for node ids 0..n.
+func triSlots(n int) int { return (n + 1) * (n + 2) / 2 }
+
+// newLegTable builds the plan's table: the triangle when it fits in
+// legDenseBytes, otherwise only the positions, from which worker builds
+// each worker's probe table.
 func newLegTable(stops []Stop, base geo.Position) *legTable {
 	t := &legTable{n: len(stops)}
 	t.pos = make([]geo.Position, t.n+1)
@@ -46,10 +64,19 @@ func newLegTable(stops []Stop, base geo.Position) *legTable {
 		t.pos[i] = s.Waypoint.Position
 	}
 	t.pos[t.n] = base
-	if t.n+1 <= legDenseLimit {
-		t.dense = make([]float64, (t.n+1)*(t.n+1))
+	if triSlots(t.n)*8 <= legDenseBytes {
+		t.tri = make([]atomic.Uint64, triSlots(t.n))
+	}
+	return t
+}
+
+// worker returns the table one restart worker reads: the shared triangle
+// itself, or a private probe table over the same positions.
+func (t *legTable) worker() *legTable {
+	if t.tri != nil {
 		return t
 	}
+	w := &legTable{n: t.n, pos: t.pos}
 	want := (t.n + 1) * 64
 	if want > legProbeEntries {
 		want = legProbeEntries
@@ -58,10 +85,10 @@ func newLegTable(stops []Stop, base geo.Position) *legTable {
 	for size < want {
 		size <<= 1
 	}
-	t.keys = make([]int64, size)
-	t.vals = make([]float64, size)
-	t.mask = size - 1
-	return t
+	w.keys = make([]int64, size)
+	w.vals = make([]float64, size)
+	w.mask = size - 1
+	return w
 }
 
 // dist returns the 3-D distance between node ids i and j.
@@ -72,13 +99,13 @@ func (t *legTable) dist(i, j int) float64 {
 	if i > j {
 		i, j = j, i
 	}
-	if t.dense != nil {
-		k := i*(t.n+1) + j
-		if d := t.dense[k]; d != 0 {
-			return d
+	if t.tri != nil {
+		s := &t.tri[j*(j+1)/2+i]
+		if b := s.Load(); b != 0 {
+			return math.Float64frombits(b)
 		}
 		d := geo.Distance3D(t.pos[i], t.pos[j])
-		t.dense[k] = d
+		s.Store(math.Float64bits(d))
 		return d
 	}
 	key := int64(i)*int64(t.n+1) + int64(j) + 1 // +1 keeps 0 as "empty"

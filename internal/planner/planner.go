@@ -224,17 +224,8 @@ func (cfg Config) PlanStops(stops []Stop, orderedIDs []string) (*Plan, error) {
 // restart index), so the result does not depend on how many workers ran the
 // chains or in what order they finished.
 func (cfg Config) annealRestarts(prob *problem, seed [][]int32) []int32 {
-	restarts := cfg.Restarts
-	if restarts <= 0 {
-		restarts = 1
-	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = 1
-	}
-	if workers > restarts {
-		workers = restarts
-	}
+	restarts := max(cfg.Restarts, 1)
+	workers := min(max(cfg.Workers, 1), restarts)
 	type result struct {
 		cost int64
 		next []int32
@@ -246,8 +237,9 @@ func (cfg Config) annealRestarts(prob *problem, seed [][]int32) []int32 {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// One kernel (and leg-table) per worker, reused across the
-			// restarts it draws from the queue.
+			// One kernel per worker, reused across the restarts it draws
+			// from the queue; its leg table is the problem's (see
+			// legTable.worker).
 			k := newKernel(prob)
 			for ri := range idx {
 				k.load(seed)
